@@ -263,6 +263,7 @@ main(int argc, char **argv)
             pos = comma + 1;
         }
     }
+    bench::rejectUnknownFlags(opts);
 
     bench::printCsvHeader();
     std::vector<AdvCell> cells;

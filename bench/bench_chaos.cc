@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "bench/harness.h"
-#include "src/core/fault_points.h"
+#include "src/core/engine/fault_points.h"
 #include "src/fault/schedules.h"
 #include "src/structures/tx_hashmap.h"
 
@@ -246,6 +246,7 @@ main(int argc, char **argv)
             return 2;
         }
     }
+    bench::rejectUnknownFlags(opts);
 
     bool all_ok = true;
     for (const std::string &schedule : schedules) {

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/api/runtime.h"
 #include "src/check/explorer.h"
 #include "src/check/program.h"
@@ -98,6 +99,9 @@ main(int argc, char **argv)
         cli.getInt("max-steps", opts.maxStepsPerRun));
     if (cli.has("no-sleep-sets"))
         opts.dfsSleepSets = false;
+    const bool revert = cli.has("revert");
+    const bool history = cli.has("history");
+    const std::string programName = cli.getString("program", "all");
 
     std::vector<AlgoKind> kinds;
     std::string algo = cli.getString("algo", "all");
@@ -115,7 +119,6 @@ main(int argc, char **argv)
     std::vector<CheckProgram> programs;
     std::string regression = cli.getString("regression", "");
     if (!regression.empty()) {
-        bool revert = cli.has("revert");
         if (regression == "first-try-budget")
             programs.push_back(makeFirstTryBudgetProgram(revert));
         else if (regression == "kill-switch-streak")
@@ -134,24 +137,26 @@ main(int argc, char **argv)
             return 2;
         }
     } else {
-        std::string name = cli.getString("program", "all");
-        if (name == "all") {
+        if (programName == "all") {
             programs = curatedPrograms();
         } else {
             CheckProgram p;
-            if (!curatedProgram(name, p)) {
+            if (!curatedProgram(programName, p)) {
                 std::fprintf(stderr, "unknown program '%s'\n",
-                             name.c_str());
+                             programName.c_str());
                 return 2;
             }
             programs.push_back(p);
         }
     }
 
-    if (cli.has("replay")) {
+    const bool replay = cli.has("replay");
+    const std::string tok = cli.getString("replay", "");
+    bench::rejectUnknownFlags(cli);
+
+    if (replay) {
         // Re-execute one schedule token (as printed on failure) and
         // show its verdict -- with --history, the recorded events too.
-        std::string tok = cli.getString("replay", "");
         int failures = 0;
         for (AlgoKind kind : kinds) {
             for (const CheckProgram &p : programs) {
@@ -171,7 +176,7 @@ main(int argc, char **argv)
                     std::printf("  checker: %s: %s\n",
                                 checkVerdictName(out.check.verdict),
                                 out.check.detail.c_str());
-                if (cli.has("history"))
+                if (history)
                     std::printf("%s", out.historyText.c_str());
                 failures += out.failed() ? 1 : 0;
             }

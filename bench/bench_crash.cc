@@ -347,6 +347,7 @@ main(int argc, char **argv)
         std::fprintf(stderr, "--sites needs at least one site\n");
         return 2;
     }
+    bench::rejectUnknownFlags(opts);
 
     bench::printCsvHeader();
     std::vector<CrashCell> cells;

@@ -10,22 +10,17 @@
  * (docs/COMMIT_PATH.md): each pins ONE front's flag off (A) and on (B)
  * on the exact path that front optimizes -- redo-buffer read-own-writes
  * for the hash index, foreign-commit validation for the read filter,
- * restart-vs-extend for timestamp extension, and a contended
- * disjoint-writer pool for group commit. tools/ab_microops.py drives
- * them in alternating rounds and folds the result into a
+ * and restart-vs-extend for timestamp extension. tools/ab_microops.py
+ * drives them in alternating rounds and folds the result into a
  * "microops-ab" BENCH capture.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <memory>
-#include <thread>
-#include <vector>
+#include <string>
 
 #include "src/api/runtime.h"
 #include "src/structures/tx_rbtree.h"
-#include "src/util/barrier.h"
 
 namespace
 {
@@ -240,53 +235,6 @@ BM_ExtendAcrossCommits(benchmark::State &state)
     setAbLabel(state, kind);
 }
 
-/**
- * Front 4 (group commit): up to 4 software writers (clamped to the
- * host's core count -- combining needs real parallelism; on fewer
- * cores the cell degenerates to the solo-overhead question) hammer
- * disjoint cache lines through the full run() loop -- every commit
- * takes the global clock. Solo publication (off) vs flat-combining
- * batches (on). Wall-clock timed (the measuring thread only joins
- * the pool).
- */
-void
-BM_GroupCommitWriters(benchmark::State &state)
-{
-    auto kind = static_cast<AlgoKind>(state.range(0));
-    RuntimeConfig cfg = abConfig();
-    cfg.commitPath.groupCommit = state.range(1) != 0;
-    TmRuntime rt(kind, cfg);
-    const unsigned kThreads = std::max(
-        1u, std::min(4u, std::thread::hardware_concurrency()));
-    constexpr unsigned kOpsPerThread = 2048;
-    std::vector<ThreadCtx *> ctxs;
-    for (unsigned t = 0; t < kThreads; ++t)
-        ctxs.push_back(&rt.registerThread());
-    alignas(64) uint64_t words[4 * 8] = {};
-    for (auto _ : state) {
-        SenseBarrier barrier(kThreads);
-        std::vector<std::thread> pool;
-        for (unsigned t = 0; t < kThreads; ++t) {
-            pool.emplace_back([&, t] {
-                ThreadCtx &ctx = *ctxs[t];
-                uint64_t *word = &words[t * 8];
-                barrier.arriveAndWait();
-                for (unsigned op = 0; op < kOpsPerThread; ++op)
-                    rt.run(ctx, [&](Txn &tx) {
-                        tx.store(word, tx.load(word) + 1);
-                    });
-            });
-        }
-        for (auto &th : pool)
-            th.join();
-    }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations()) * kThreads *
-        kOpsPerThread);
-    state.counters["threads"] = kThreads;
-    setAbLabel(state, kind);
-}
-
 BENCHMARK(BM_Increment)->Apply(addAllAlgos);
 BENCHMARK(BM_ReadOnlyScan)->Apply(addAllAlgos);
 BENCHMARK(BM_RbTreeGet)->Apply(addAllAlgos);
@@ -303,11 +251,6 @@ BENCHMARK(BM_ExtendAcrossCommits)
     ->ArgNames({"algo", "on"})
     ->Args({static_cast<int>(AlgoKind::kNOrec), 0})
     ->Args({static_cast<int>(AlgoKind::kNOrec), 1});
-BENCHMARK(BM_GroupCommitWriters)
-    ->ArgNames({"algo", "on"})
-    ->Args({static_cast<int>(AlgoKind::kNOrecLazy), 0})
-    ->Args({static_cast<int>(AlgoKind::kNOrecLazy), 1})
-    ->UseRealTime();
 
 } // namespace
 

@@ -77,9 +77,8 @@ parseBenchConfig(const CliOptions &opts)
         }
     }
 
-    // Commit-path campaign switches (docs/COMMIT_PATH.md): the first
-    // three fronts default on, group commit is opt-in; each flag
-    // overrides its default for A/B runs.
+    // Commit-path campaign switches (docs/COMMIT_PATH.md): every front
+    // defaults on; each flag overrides its default for A/B runs.
     auto onOff = [&opts](const char *flag, bool &out) {
         if (!opts.has(flag))
             return;
@@ -97,7 +96,6 @@ parseBenchConfig(const CliOptions &opts)
     onOff("read-filter", cfg.runtime.commitPath.readFilter);
     onOff("redo-index", cfg.runtime.commitPath.redoIndex);
     onOff("ts-extension", cfg.runtime.commitPath.tsExtension);
-    onOff("group-commit", cfg.runtime.commitPath.groupCommit);
 
     if (opts.has("fault-schedule")) {
         std::string name = opts.getString("fault-schedule", "");
@@ -141,6 +139,16 @@ parseBenchConfig(const CliOptions &opts)
         }
     }
     return cfg;
+}
+
+void
+rejectUnknownFlags(const CliOptions &opts)
+{
+    std::vector<std::string> unread = opts.unreadKeys();
+    if (unread.empty())
+        return;
+    std::fprintf(stderr, "unknown flag: --%s\n", unread[0].c_str());
+    std::exit(2);
 }
 
 void

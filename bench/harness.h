@@ -62,12 +62,19 @@ struct BenchConfig
  *   --irrevocable-pct=N        (percent of ops upgraded to
  *                               irrevocability, workloads permitting)
  *   --read-filter=on|off --redo-index=on|off --ts-extension=on|off
- *   --group-commit=on|off      (commit-path campaign switches,
- *                               docs/COMMIT_PATH.md; the first three
- *                               default on, group commit defaults off)
+ *                               (commit-path campaign switches,
+ *                               docs/COMMIT_PATH.md; all default on)
  * Exits with a message on unknown algorithms or stray arguments.
+ * Unknown --flags are caught by rejectUnknownFlags(), which each
+ * driver calls once it has read its own flags too.
  */
 BenchConfig parseBenchConfig(const CliOptions &opts);
+
+/**
+ * Exit with status 2, naming the first --flag that no parser read.
+ * Call after every flag of the driver has been read through @p opts.
+ */
+void rejectUnknownFlags(const CliOptions &opts);
 
 /** One cell's outcome. */
 struct CellResult

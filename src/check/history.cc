@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <unordered_set>
 
 namespace rhtm::check
 {
@@ -178,13 +179,38 @@ attemptReadsValid(const Attempt &attempt, const VarState &state)
     return true;
 }
 
-/** Apply @p attempt's final writes (last write per var wins). */
+/** splitmix64 finalizer: a cheap, well-mixed 64-bit hash. */
+uint64_t
+mix64(uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/** Hash of one (var, value) binding; a state hashes to their XOR. */
+uint64_t
+bindingHash(unsigned var, uint64_t value)
+{
+    return mix64(mix64(var) ^ value);
+}
+
+/**
+ * Apply @p attempt's final writes (last write per var wins), keeping
+ * @p stateHash in step with @p state. The hash is the XOR, over every
+ * var, of bindingHash(var, current) ^ bindingHash(var, initial), so
+ * equal states hash equal whichever order produced them.
+ */
 void
-applyAttempt(const Attempt &attempt, VarState &state)
+applyAttempt(const Attempt &attempt, VarState &state, uint64_t &stateHash)
 {
     for (const AccessOp &op : attempt.ops) {
-        if (op.isWrite)
-            state.set(op.var, op.value);
+        if (!op.isWrite)
+            continue;
+        stateHash ^= bindingHash(op.var, state.get(op.var)) ^
+                     bindingHash(op.var, op.value);
+        state.set(op.var, op.value);
     }
 }
 
@@ -218,6 +244,9 @@ class SerializationSearch
         states_.clear();
         states_.emplace_back(init_);
         found_ = 0;
+        setHash_ = 0;
+        stateHash_ = 0;
+        dead_.clear();
         return dfs(visit);
     }
 
@@ -233,6 +262,15 @@ class SerializationSearch
             ++found_;
             return visit(order_, states_);
         }
+        // Which txns remain and what memory holds decide everything
+        // below this node, so a (set, state) pair whose subtree held
+        // no complete order is dead on every path that reaches it.
+        // Without this, an unplaceable txn makes the walk retry every
+        // interleaving of the txns around it: exponential.
+        const DeadKey key{setHash_, stateHash_};
+        if (dead_.count(key) != 0)
+            return true;
+        const size_t foundBefore = found_;
         for (size_t i = 0; i < committed_.size(); ++i) {
             if (scheduled_[i])
                 continue;
@@ -245,13 +283,19 @@ class SerializationSearch
             scheduled_[i] = true;
             order_.push_back(i);
             states_.push_back(states_.back());
-            applyAttempt(a, states_.back());
+            const uint64_t savedStateHash = stateHash_;
+            applyAttempt(a, states_.back(), stateHash_);
+            setHash_ ^= mix64(i);
             if (!dfs(visit))
                 return false;
+            setHash_ ^= mix64(i);
+            stateHash_ = savedStateHash;
             states_.pop_back();
             order_.pop_back();
             scheduled_[i] = false;
         }
+        if (found_ == foundBefore)
+            dead_.insert(key);
         return true;
     }
 
@@ -270,12 +314,37 @@ class SerializationSearch
         return true;
     }
 
+    /** A search node: hashes of the placed set and of memory. */
+    struct DeadKey
+    {
+        uint64_t set;
+        uint64_t state;
+
+        bool
+        operator==(const DeadKey &o) const
+        {
+            return set == o.set && state == o.state;
+        }
+    };
+
+    struct DeadKeyHash
+    {
+        size_t
+        operator()(const DeadKey &k) const
+        {
+            return static_cast<size_t>(k.set ^ mix64(k.state));
+        }
+    };
+
     const std::vector<const TxnRec *> &committed_;
     const std::vector<uint64_t> &init_;
     std::vector<bool> scheduled_;
     std::vector<size_t> order_;
     std::vector<VarState> states_;
     size_t found_ = 0;
+    uint64_t setHash_ = 0;   //!< XOR of mix64(i) over placed txns.
+    uint64_t stateHash_ = 0; //!< See applyAttempt().
+    std::unordered_set<DeadKey, DeadKeyHash> dead_;
 };
 
 } // namespace

@@ -27,7 +27,6 @@ namespace rhtm
 {
 
 class DeadlineState;
-struct GroupCommitArena;
 
 /**
  * Thrown by an algorithm to abort and restart the current transaction
@@ -197,13 +196,6 @@ class TxSession
      */
     void configureCommitPath(const TmConfig &cfg) { commitCfg_ = cfg; }
 
-    /**
-     * Attach the domain's group-commit arena (commit-path front 4), or
-     * nullptr when group commit is unavailable. Only the lazy NOrec
-     * sessions consult it; everyone else ignores the pointer.
-     */
-    void attachGroupArena(GroupCommitArena *arena) { groupArena_ = arena; }
-
   protected:
     /** Hook for sessions that forward the pointer (SessionCore). */
     virtual void onDeadlineAttached() {}
@@ -214,8 +206,6 @@ class TxSession
     /** Commit-path front switches; defaults until configured. */
     TmConfig commitCfg_;
 
-    /** The domain's group-commit arena, or nullptr (front 4 off). */
-    GroupCommitArena *groupArena_ = nullptr;
     /**
      * Bind the accessor descriptor for the mode just entered. @p self
      * is passed back to the descriptor's functions (the derived

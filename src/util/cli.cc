@@ -24,23 +24,30 @@ CliOptions::CliOptions(int argc, char **argv)
     }
 }
 
+std::map<std::string, std::string>::const_iterator
+CliOptions::find(const std::string &key) const
+{
+    read_.insert(key);
+    return values_.find(key);
+}
+
 bool
 CliOptions::has(const std::string &key) const
 {
-    return values_.count(key) != 0;
+    return find(key) != values_.end();
 }
 
 std::string
 CliOptions::getString(const std::string &key, const std::string &def) const
 {
-    auto it = values_.find(key);
+    auto it = find(key);
     return it == values_.end() ? def : it->second;
 }
 
 int64_t
 CliOptions::getInt(const std::string &key, int64_t def) const
 {
-    auto it = values_.find(key);
+    auto it = find(key);
     if (it == values_.end())
         return def;
     char *end = nullptr;
@@ -51,7 +58,7 @@ CliOptions::getInt(const std::string &key, int64_t def) const
 double
 CliOptions::getDouble(const std::string &key, double def) const
 {
-    auto it = values_.find(key);
+    auto it = find(key);
     if (it == values_.end())
         return def;
     char *end = nullptr;
@@ -63,7 +70,7 @@ std::vector<int64_t>
 CliOptions::getIntList(const std::string &key,
                        const std::vector<int64_t> &def) const
 {
-    auto it = values_.find(key);
+    auto it = find(key);
     if (it == values_.end())
         return def;
     std::vector<int64_t> out;
@@ -78,6 +85,16 @@ CliOptions::getIntList(const std::string &key,
             out.push_back(v);
     }
     return out.empty() ? def : out;
+}
+
+std::vector<std::string>
+CliOptions::unreadKeys() const
+{
+    std::vector<std::string> out;
+    for (const auto &kv : values_)
+        if (read_.count(kv.first) == 0)
+            out.push_back(kv.first);
+    return out;
 }
 
 } // namespace rhtm

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -17,9 +18,11 @@ namespace rhtm
 /**
  * Tiny --key=value option parser.
  *
- * Recognizes "--key=value" and bare "--flag" (stored as "1"). Unknown
- * keys are collected so drivers can reject typos. Far smaller than a
- * real flags library, but the benches need only a handful of knobs.
+ * Recognizes "--key=value" and bare "--flag" (stored as "1"). Every
+ * has()/get*() call marks its key as read, so once a driver has parsed
+ * all of its flags, unreadKeys() names the ones it does not know and
+ * the driver can reject typos. Far smaller than a real flags library,
+ * but the benches need only a handful of knobs.
  */
 class CliOptions
 {
@@ -47,9 +50,18 @@ class CliOptions
     /** Tokens that did not look like --key[=value]. */
     const std::vector<std::string> &errors() const { return errors_; }
 
+    /** Keys given on the command line that no has()/get*() call has
+     *  read, in key order. */
+    std::vector<std::string> unreadKeys() const;
+
   private:
+    /** Mark @p key read and look it up. */
+    std::map<std::string, std::string>::const_iterator
+    find(const std::string &key) const;
+
     std::map<std::string, std::string> values_;
     std::vector<std::string> errors_;
+    mutable std::set<std::string> read_;
 };
 
 } // namespace rhtm

@@ -131,6 +131,35 @@ TEST(HistoryCheckerTest, AbortedPrefixOfACommitIsNotAZombie)
     EXPECT_TRUE(res.ok()) << res.detail;
 }
 
+TEST(HistoryCheckerTest, UnplaceableTxnDoesNotRetryEveryInterleaving)
+{
+    // 16 concurrent txns: t0 writes v0, t1..t14 each write their own
+    // var, and t15 read v0 before t0's write. The walk places t0 first
+    // (its begin comes first), after which t15 fits nowhere. Retrying
+    // every order of t1..t14 below that choice is 14! leaves; a search
+    // that remembers dead (placed set, memory) nodes visits 2^14.
+    constexpr unsigned kIndependent = 14;
+    constexpr unsigned kReader = kIndependent + 1;
+    History h;
+    for (unsigned t = 0; t <= kReader; ++t) {
+        h.push(t, HistKind::kBegin);
+        h.push(t, HistKind::kAttempt);
+    }
+    for (unsigned t = 0; t <= kIndependent; ++t)
+        h.push(t, HistKind::kWrite, t, 1);
+    h.push(kReader, HistKind::kRead, 0, 0);
+    for (unsigned t = 0; t <= kReader; ++t)
+        h.push(t, HistKind::kCommit);
+    CheckResult res = checkHistory(h, std::vector<uint64_t>(kReader, 0));
+    ASSERT_TRUE(res.ok()) << res.detail;
+    auto pos = [&](unsigned tid) {
+        return std::find(res.witnessOrder.begin(), res.witnessOrder.end(),
+                         tid) -
+               res.witnessOrder.begin();
+    };
+    EXPECT_LT(pos(kReader), pos(0));
+}
+
 TEST(HistoryCheckerTest, CommitWithoutBeginIsMalformed)
 {
     History h;

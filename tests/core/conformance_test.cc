@@ -440,19 +440,18 @@ TEST_P(ConformanceTest, IrrevocableGrantSuppressesDeadline)
 
 TEST_P(ConformanceTest, CommitPathFlagMatrix)
 {
-    // The commit-path speed campaign (docs/COMMIT_PATH.md) is four
+    // The commit-path speed campaign (docs/COMMIT_PATH.md) is three
     // independently-switchable fronts; semantics must be identical at
-    // every point of the 2^4 flag lattice, on every composition --
+    // every point of the 2^3 flag lattice, on every composition --
     // algorithms a flag does not apply to must simply ignore it. A
-    // 17th leg saturates the Bloom summaries (the universal-collision
+    // 9th leg saturates the Bloom summaries (the universal-collision
     // pathology) so the filter's conservative fallback is on-path too.
-    for (unsigned bits = 0; bits <= 16; ++bits) {
+    for (unsigned bits = 0; bits <= 8; ++bits) {
         TmConfig cp;
         cp.readFilter = (bits & 1) != 0;
         cp.redoIndex = (bits & 2) != 0;
         cp.tsExtension = (bits & 4) != 0;
-        cp.groupCommit = (bits & 8) != 0;
-        if (bits == 16) {
+        if (bits == 8) {
             cp.readFilter = true;
             cp.filterSaturateForTest = true;
         }
@@ -460,7 +459,6 @@ TEST_P(ConformanceTest, CommitPathFlagMatrix)
                      (cp.readFilter ? "F" : "-") +
                      (cp.redoIndex ? "I" : "-") +
                      (cp.tsExtension ? "X" : "-") +
-                     (cp.groupCommit ? "G" : "-") +
                      (cp.filterSaturateForTest ? "S" : "-"));
         runTransferScenario(GetParam(), nullptr, 4, 80, false, &cp);
     }

@@ -87,5 +87,17 @@ TEST(CliTest, LastDuplicateWins)
     EXPECT_EQ(opts.getInt("n", 0), 2);
 }
 
+TEST(CliTest, UnreadKeysNameOnlyFlagsNobodyRead)
+{
+    auto opts = parse({"--threads=4", "--bogus-flag=on", "--verbose"});
+    ASSERT_EQ(opts.unreadKeys().size(), 3u);
+    EXPECT_EQ(opts.getInt("threads", 1), 4);
+    EXPECT_TRUE(opts.has("verbose"));
+    // Looking up an absent key does not make it appear.
+    EXPECT_FALSE(opts.has("seed"));
+    ASSERT_EQ(opts.unreadKeys().size(), 1u);
+    EXPECT_EQ(opts.unreadKeys()[0], "bogus-flag");
+}
+
 } // namespace
 } // namespace rhtm

@@ -3,9 +3,10 @@
 
 Usage: tools/ab_microops.py [--bench=build/bench/bench_microops]
                             [--rounds=3] [--min-time=0.05]
-                            [--band=0.35] [--out=BENCH_10.json]
+                            [--band=0.35]
+                            [--out=build/BENCH_microops-ab.json]
 
-Runs the four commit-path campaign cells in bench_microops
+Runs the three commit-path campaign cells in bench_microops
 (docs/COMMIT_PATH.md) as ALTERNATING off/on rounds -- round 1 runs
 off then on, round 2 on then off, and so on -- so slow drift on the
 host (thermal, noisy neighbors) cannot systematically favor one
@@ -16,7 +17,9 @@ The folded result is written as a BENCH capture with the top-level
 family "microops-ab": incomparable with the crash/adversary/store
 families by design (tools/diff_bench.py reports those diffs as
 no-ops), comparable cell-by-cell against future captures of the same
-family via the "throughput" metric (iterations/second).
+family via the "throughput" metric (iterations/second). The default
+output lands in the build tree, so a run never overwrites a committed
+capture such as BENCH_10.json; pass --out to write one on purpose.
 
 Exit status is 1 if any front's ON variant is slower than its OFF
 baseline beyond the noise band -- an optimization that costs more
@@ -33,7 +36,6 @@ FRONTS = {
     "BM_ValidateAcrossCommits": "read-filter",
     "BM_ReadOwnWrites": "redo-index",
     "BM_ExtendAcrossCommits": "ts-extension",
-    "BM_GroupCommitWriters": "group-commit",
 }
 
 
@@ -69,7 +71,7 @@ def main():
     rounds = 3
     min_time = 0.05
     band = 0.35
-    out_path = "BENCH_10.json"
+    out_path = "build/BENCH_microops-ab.json"
     for arg in sys.argv[1:]:
         if arg.startswith("--bench="):
             bench = arg.split("=", 1)[1]
@@ -138,6 +140,9 @@ def main():
         "cells": cells,
         "summary": summary,
     }
+    out_dir = os.path.dirname(out_path)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
     with open(out_path, "w") as f:
         json.dump(capture, f, indent=2, sort_keys=True)
         f.write("\n")
